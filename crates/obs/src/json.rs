@@ -179,14 +179,32 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash at
+                // once. Both are ASCII, so they never fall inside a
+                // multi-byte character and the run is valid UTF-8 on its
+                // own; validating run by run keeps parsing linear.
+                let end = find_quote_or_backslash(b, *pos);
+                out.push_str(std::str::from_utf8(&b[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
+}
+
+/// Index of the first `"` or `\` at or after `from`, or `b.len()`. Whole
+/// 16-byte blocks are tested without an early exit per byte, which the
+/// compiler vectorizes; long strings (base64 payloads) are scanned at
+/// memory speed.
+fn find_quote_or_backslash(b: &[u8], from: usize) -> usize {
+    let is_stop = |c: u8| (c == b'"') | (c == b'\\');
+    let mut at = from;
+    for block in b[from..].chunks_exact(16) {
+        if block.iter().fold(false, |hit, &c| hit | is_stop(c)) {
+            break;
+        }
+        at += 16;
+    }
+    b[at..].iter().position(|&c| is_stop(c)).map_or(b.len(), |n| at + n)
 }
 
 fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -247,6 +265,37 @@ mod tests {
         let raw = "a\"b\\c\nd\te\u{1}";
         let parsed = parse(&format!("\"{}\"", escape_json(raw))).unwrap();
         assert_eq!(parsed.as_str(), Some(raw));
+    }
+
+    #[test]
+    fn multi_megabyte_strings_round_trip() {
+        // Escapes and multi-byte characters sit directly against the run
+        // boundaries (the quotes and backslashes the parser stops at).
+        let unit = "é\"€\\𝄞\nab\u{1}ü\"\"\\\\ÿ𝄞";
+        let raw = unit.repeat(4 << 20 >> 5);
+        assert!(raw.len() > 3 << 20);
+        let doc = format!("{{\"k\":\"{}\",\"n\":[\"{}\"]}}", escape_json(&raw), escape_json(unit));
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("k").and_then(Json::as_str), Some(raw.as_str()));
+        assert_eq!(v.get("n").unwrap().as_arr().unwrap()[0].as_str(), Some(unit));
+        // One long run with no escapes at all, ending in a multi-byte char.
+        let plain = format!("{}é", "x".repeat(8 << 20));
+        assert_eq!(parse(&format!("\"{plain}\"")).unwrap().as_str(), Some(plain.as_str()));
+        // Unterminated after a long run is still an error.
+        assert!(parse(&format!("\"{}", "y".repeat(1 << 20))).is_err());
+    }
+
+    #[test]
+    fn string_stops_at_every_block_offset() {
+        // The scanner tests 16-byte blocks; put the quote or escape at
+        // every offset across three blocks.
+        for len in 0..48 {
+            for stop in ["\"", "\\", "é"] {
+                let raw = format!("{}{stop}z", "a".repeat(len));
+                let parsed = parse(&format!("[\"{}\",1]", escape_json(&raw))).unwrap();
+                assert_eq!(parsed.as_arr().unwrap()[0].as_str(), Some(raw.as_str()), "{len}");
+            }
+        }
     }
 
     #[test]

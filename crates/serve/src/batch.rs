@@ -145,7 +145,7 @@ impl Batcher {
     /// Enter the group identified by `key`. `guard` must encode everything
     /// that has to be identical across the group (plan key + shared input
     /// bytes); `column` is this request's batched vector.
-    pub fn join(&self, key: u64, guard: &[u8], column: Vec<f64>) -> Joined {
+    pub fn join(&self, key: u64, guard: Vec<u8>, column: Vec<f64>) -> Joined {
         if !self.enabled() {
             return Joined::Solo(column);
         }
@@ -153,10 +153,7 @@ impl Batcher {
         match st.groups.get_mut(&key) {
             None => {
                 let (tx, rx) = channel();
-                st.groups.insert(
-                    key,
-                    Group { guard: guard.to_vec(), columns: vec![column], senders: vec![tx] },
-                );
+                st.groups.insert(key, Group { guard, columns: vec![column], senders: vec![tx] });
                 Joined::Leader(LeaderToken { key, deadline_at: Instant::now() + self.deadline }, rx)
             }
             Some(g) => {
@@ -206,7 +203,7 @@ mod tests {
     fn solo_when_disabled() {
         let b = Batcher::new(Duration::from_millis(50), 1);
         assert!(!b.enabled());
-        match b.join(1, b"g", vec![1.0]) {
+        match b.join(1, b"g".to_vec(), vec![1.0]) {
             Joined::Solo(col) => assert_eq!(col, vec![1.0]),
             _ => panic!("disabled batcher must return Solo"),
         }
@@ -215,14 +212,14 @@ mod tests {
     #[test]
     fn leader_collects_followers_and_distributes_columns() {
         let b = Arc::new(Batcher::new(Duration::from_secs(5), 4));
-        let Joined::Leader(tok, leader_rx) = b.join(7, b"g", vec![1.0]) else {
+        let Joined::Leader(tok, leader_rx) = b.join(7, b"g".to_vec(), vec![1.0]) else {
             panic!("first join must lead")
         };
         let mut followers = Vec::new();
         for i in 0..3u32 {
             let b = Arc::clone(&b);
             followers.push(std::thread::spawn(move || {
-                match b.join(7, b"g", vec![f64::from(i) + 2.0]) {
+                match b.join(7, b"g".to_vec(), vec![f64::from(i) + 2.0]) {
                     Joined::Follower(rx) => rx.recv().unwrap().unwrap(),
                     _ => panic!("must follow"),
                 }
@@ -240,7 +237,7 @@ mod tests {
     #[test]
     fn deadline_flushes_a_lonely_leader() {
         let b = Batcher::new(Duration::from_millis(20), 8);
-        let Joined::Leader(tok, rx) = b.join(1, b"g", vec![3.0]) else { panic!() };
+        let Joined::Leader(tok, rx) = b.join(1, b"g".to_vec(), vec![3.0]) else { panic!() };
         let start = Instant::now();
         let job = b.collect(tok);
         assert!(start.elapsed() >= Duration::from_millis(20));
@@ -252,9 +249,9 @@ mod tests {
     #[test]
     fn guard_mismatch_downgrades_to_solo() {
         let b = Batcher::new(Duration::from_secs(5), 4);
-        let Joined::Leader(tok, _rx) = b.join(7, b"model-a", vec![1.0]) else { panic!() };
+        let Joined::Leader(tok, _rx) = b.join(7, b"model-a".to_vec(), vec![1.0]) else { panic!() };
         // Same key (hash collision), different guard bytes: must NOT join.
-        match b.join(7, b"model-b", vec![9.0]) {
+        match b.join(7, b"model-b".to_vec(), vec![9.0]) {
             Joined::Solo(col) => assert_eq!(col, vec![9.0]),
             _ => panic!("guard mismatch must downgrade to solo"),
         }
@@ -264,9 +261,9 @@ mod tests {
     #[test]
     fn errors_propagate_to_every_participant() {
         let b = Arc::new(Batcher::new(Duration::from_secs(5), 2));
-        let Joined::Leader(tok, rx) = b.join(1, b"g", vec![1.0]) else { panic!() };
+        let Joined::Leader(tok, rx) = b.join(1, b"g".to_vec(), vec![1.0]) else { panic!() };
         let b2 = Arc::clone(&b);
-        let f = std::thread::spawn(move || match b2.join(1, b"g", vec![2.0]) {
+        let f = std::thread::spawn(move || match b2.join(1, b"g".to_vec(), vec![2.0]) {
             Joined::Follower(rx) => rx.recv().unwrap(),
             _ => panic!(),
         });
@@ -279,9 +276,9 @@ mod tests {
     #[test]
     fn full_group_turns_late_joiners_solo() {
         let b = Arc::new(Batcher::new(Duration::from_secs(5), 2));
-        let Joined::Leader(tok, _rx) = b.join(1, b"g", vec![1.0]) else { panic!() };
+        let Joined::Leader(tok, _rx) = b.join(1, b"g".to_vec(), vec![1.0]) else { panic!() };
         let b2 = Arc::clone(&b);
-        let f = std::thread::spawn(move || match b2.join(1, b"g", vec![2.0]) {
+        let f = std::thread::spawn(move || match b2.join(1, b"g".to_vec(), vec![2.0]) {
             Joined::Follower(rx) => rx.recv().unwrap(),
             _ => panic!(),
         });
@@ -296,7 +293,7 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        match b.join(1, b"g", vec![3.0]) {
+        match b.join(1, b"g".to_vec(), vec![3.0]) {
             Joined::Solo(_) => {}
             _ => panic!("full group must not accept more"),
         }

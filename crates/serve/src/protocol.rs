@@ -6,24 +6,39 @@
 //! dependencies). Length-prefixing keeps framing trivial for clients in
 //! any language: read 4 bytes, read N bytes, parse.
 //!
-//! Floating-point values round-trip **bit-exactly** for finite numbers:
-//! Rust's `{}` formatting of `f64` prints the shortest decimal that
-//! parses back to the same bits, and both ends parse with
-//! `str::parse::<f64>`. This is what lets the end-to-end tests demand
-//! bit-identical results between served and direct evaluation. Non-finite
-//! values (which JSON cannot express as numbers) travel as the strings
-//! `"NaN"`, `"Infinity"`, `"-Infinity"`.
-//!
 //! A scoring request:
 //!
 //! ```json
 //! {"tenant": "acme", "cmd": "score", "program": "W %*% x",
-//!  "inputs": {"W": {"rows": 2, "cols": 2, "data": [1, 0, 0, 1]},
+//!  "inputs": {"W": {"rows": 2, "cols": 2,
+//!                   "f64le": "AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAA8D8="},
 //!             "x": {"rows": 2, "cols": 1, "data": [3, 4]}},
 //!  "batch": true}
 //! ```
 //!
-//! and its response:
+//! An input matrix carries its values in exactly one of two forms (both,
+//! or neither, is an error):
+//!
+//! * `f64le` — a **slab**: the row-major values as little-endian
+//!   IEEE-754 bytes, 8 per value, in one standard padded base64 string.
+//!   [`encode_request`] always writes this form. A slab is bit-exact for
+//!   every `f64`, NaN payloads, signed zeros and subnormals included, and
+//!   it skips the decimal formatting and parsing that dominated request
+//!   cost when weights travelled as text. Its decoded byte count must be
+//!   exactly `8 * rows * cols`.
+//! * `data` — a JSON array of decimal numbers, the form for hand-written
+//!   clients and debugging. Finite values round-trip **bit-exactly**:
+//!   Rust's `{}` formatting of `f64` prints the shortest decimal that
+//!   parses back to the same bits, and both ends parse with
+//!   `str::parse::<f64>`. Non-finite values (which JSON cannot express as
+//!   numbers) travel as the strings `"NaN"`, `"Infinity"`, `"-Infinity"`,
+//!   so a NaN's payload bits do not survive this form.
+//!
+//! Scalars and responses use the decimal form only: they are small, and
+//! the decimal round trip is what lets the end-to-end tests demand
+//! bit-identical results between served and direct evaluation.
+//!
+//! The response to the request above:
 //!
 //! ```json
 //! {"ok": true, "kind": "matrix", "rows": 2, "cols": 1, "data": [3, 4],
@@ -256,6 +271,111 @@ fn json_data(j: &Json) -> Result<Vec<f64>, String> {
     j.as_arr().ok_or("data must be an array")?.iter().map(json_f64).collect()
 }
 
+/// The standard base64 alphabet (RFC 4648 §4), padded with `=`.
+const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Marks a byte outside the alphabet in [`B64_VALUE`].
+const NOT_B64: u8 = 0xff;
+
+/// The 6-bit value of every alphabet byte; [`NOT_B64`] elsewhere.
+const B64_VALUE: [u8; 256] = {
+    let mut t = [NOT_B64; 256];
+    let mut i = 0;
+    while i < 64 {
+        t[B64[i] as usize] = i as u8;
+        i += 1;
+    }
+    t
+};
+
+/// The four alphabet characters of the 24-bit group `n`.
+fn b64_quad(n: u32) -> [u8; 4] {
+    [18, 12, 6, 0].map(|shift| B64[(n >> shift & 63) as usize])
+}
+
+fn base64_encode(bytes: &[u8], out: &mut String) {
+    let mut buf = vec![0u8; bytes.len().div_ceil(3) * 4];
+    let mut triples = bytes.chunks_exact(3);
+    let mut quads = buf.chunks_exact_mut(4);
+    for (t, q) in (&mut triples).zip(&mut quads) {
+        q.copy_from_slice(&b64_quad(
+            u32::from(t[0]) << 16 | u32::from(t[1]) << 8 | u32::from(t[2]),
+        ));
+    }
+    let rest = triples.remainder();
+    if let Some(q) = quads.next() {
+        let n = rest.iter().enumerate().fold(0u32, |n, (i, &b)| n | u32::from(b) << (16 - 8 * i));
+        q.copy_from_slice(&b64_quad(n));
+        q[rest.len() + 1..].fill(b'=');
+    }
+    out.push_str(std::str::from_utf8(&buf).expect("base64 is ASCII"));
+}
+
+/// Strict decode: the length must be a multiple of 4, `=` may only pad
+/// the end (at most twice), and the bits padding discards must be zero,
+/// so every byte string has exactly one accepted encoding.
+fn base64_decode(s: &str) -> Result<Vec<u8>, String> {
+    let b = s.as_bytes();
+    if !b.len().is_multiple_of(4) {
+        return Err(format!("base64 length {} is not a multiple of 4", b.len()));
+    }
+    let pad = b.iter().rev().take(2).take_while(|&&c| c == b'=').count();
+    let text = &b[..b.len() - pad];
+    let mut out = vec![0u8; b.len() / 4 * 3];
+    // OR of every 6-bit value: NOT_B64 sets the high bit, so one test
+    // after the loop replaces a branch per character.
+    let mut seen = 0u8;
+    let mut sextets = |chars: &[u8]| {
+        chars.iter().fold(0u32, |n, &c| {
+            let x = B64_VALUE[usize::from(c)];
+            seen |= x;
+            n << 6 | u32::from(x)
+        })
+    };
+    let mut quads = text.chunks_exact(4);
+    let mut groups = out.chunks_exact_mut(3);
+    for (q, g) in (&mut quads).zip(&mut groups) {
+        g.copy_from_slice(&sextets(q).to_be_bytes()[1..]);
+    }
+    if let Some(g) = groups.next() {
+        g.copy_from_slice(&(sextets(quads.remainder()) << (6 * pad)).to_be_bytes()[1..]);
+    }
+    if seen & 0x80 != 0 {
+        let c = text.iter().find(|&&c| B64_VALUE[usize::from(c)] == NOT_B64).expect("seen");
+        return Err(format!("invalid base64 character {:?}", char::from(*c)));
+    }
+    let len = out.len() - pad;
+    if out[len..].iter().any(|&x| x != 0) {
+        return Err("bad base64 padding: discarded bits are not zero".to_owned());
+    }
+    out.truncate(len);
+    Ok(out)
+}
+
+/// Append the little-endian bytes of `data` to `out` in one resize.
+pub(crate) fn extend_le_bytes(out: &mut Vec<u8>, data: &[f64]) {
+    let start = out.len();
+    out.resize(start + data.len() * 8, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(data) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Append `data` as an `f64le` slab: base64 of its little-endian bytes.
+fn fmt_slab(data: &[f64], out: &mut String) {
+    let mut bytes = Vec::new();
+    extend_le_bytes(&mut bytes, data);
+    base64_encode(&bytes, out);
+}
+
+fn decode_slab(s: &str) -> Result<Vec<f64>, String> {
+    let bytes = base64_decode(s)?;
+    if !bytes.len().is_multiple_of(8) {
+        return Err(format!("f64le slab of {} bytes is not a whole number of f64s", bytes.len()));
+    }
+    Ok(bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))).collect())
+}
+
 fn json_usize(j: &Json, what: &str) -> Result<usize, String> {
     let n = j.as_f64().ok_or_else(|| format!("{what} must be a number"))?;
     if n < 0.0 || n.fract() != 0.0 || n > (1u64 << 53) as f64 {
@@ -285,11 +405,14 @@ pub fn encode_request(req: &Request) -> String {
                 s.push(',');
             }
             match v {
-                InputValue::Matrix { rows, cols, data } => s.push_str(&format!(
-                    "\"{}\":{{\"rows\":{rows},\"cols\":{cols},\"data\":{}}}",
-                    escape_json(name),
-                    fmt_data(data)
-                )),
+                InputValue::Matrix { rows, cols, data } => {
+                    s.push_str(&format!(
+                        "\"{}\":{{\"rows\":{rows},\"cols\":{cols},\"f64le\":\"",
+                        escape_json(name)
+                    ));
+                    fmt_slab(data, &mut s);
+                    s.push_str("\"}");
+                }
                 InputValue::Scalar(x) => {
                     s.push_str(&format!("\"{}\":{{\"scalar\":{}}}", escape_json(name), fmt_f64(*x)))
                 }
@@ -323,13 +446,23 @@ pub fn decode_request(raw: &str) -> Result<Request, String> {
             }
             let rows = json_usize(v.get("rows").ok_or("input missing rows")?, "rows")?;
             let cols = json_usize(v.get("cols").ok_or("input missing cols")?, "cols")?;
-            let data = json_data(v.get("data").ok_or("input missing data")?)?;
             // checked_mul: claimed dims like 2^32 x 2^32 would wrap to 0 in
             // release builds and let an empty `data` impersonate a matrix
             // far larger than any frame could carry.
             let expected = rows
                 .checked_mul(cols)
                 .ok_or_else(|| format!("input {name:?}: rows*cols overflows ({rows} x {cols})"))?;
+            let data = match (v.get("data"), v.get("f64le")) {
+                (Some(d), None) => json_data(d)?,
+                (None, Some(Json::Str(slab))) => {
+                    decode_slab(slab).map_err(|e| format!("input {name:?}: {e}"))?
+                }
+                (None, Some(_)) => return Err(format!("input {name:?}: f64le must be a string")),
+                (Some(_), Some(_)) => {
+                    return Err(format!("input {name:?}: carries both data and f64le"))
+                }
+                (None, None) => return Err("input missing data".to_owned()),
+            };
             if data.len() != expected {
                 return Err(format!(
                     "input {name:?}: data length {} != rows*cols {expected}",
@@ -434,6 +567,7 @@ pub fn decode_response(raw: &str) -> Result<Response, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn frames_round_trip() {
@@ -580,5 +714,126 @@ mod tests {
             "{\"ok\":true,\"kind\":\"matrix\",\"rows\":2,\"cols\":2,\"data\":[1]}"
         )
         .is_err());
+    }
+
+    /// Bit patterns that decimal text cannot carry (NaN payloads) or that
+    /// are easy to mangle (signed zeros, subnormals, infinities), mixed
+    /// with uniformly random ones.
+    fn f64_bits() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            4 => 0u64..=u64::MAX,
+            1 => prop_oneof![
+                Just(0u64),
+                Just(1u64 << 63),
+                Just(1u64),
+                Just((1u64 << 52) - 1),
+                Just(f64::INFINITY.to_bits()),
+                Just(f64::NEG_INFINITY.to_bits()),
+                Just(f64::NAN.to_bits()),
+                Just(0x7ff0_0000_0000_0001u64),
+                Just(0xfff8_dead_beef_0001u64),
+            ],
+        ]
+    }
+
+    fn matrix_bits(rows: usize, cols: usize) -> impl Strategy<Value = (usize, usize, Vec<u64>)> {
+        (Just(rows), Just(cols), proptest::collection::vec(f64_bits(), rows * cols))
+    }
+
+    fn bits_of(req: &Request) -> Vec<Vec<u64>> {
+        req.inputs
+            .iter()
+            .map(|(_, v)| match v {
+                InputValue::Matrix { data, .. } => data.iter().map(|x| x.to_bits()).collect(),
+                InputValue::Scalar(x) => vec![x.to_bits()],
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Slab inputs survive the wire bit for bit, for every f64 and for
+        /// empty shapes (0 rows or 0 columns).
+        #[test]
+        fn slab_inputs_round_trip_every_bit_pattern(
+            (rows, cols, bits) in (0usize..7, 0usize..7).prop_flat_map(|(r, c)| matrix_bits(r, c)),
+        ) {
+            let data: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            let req = Request::score("t", "X").matrix("X", rows, cols, data).scalar("a", 0.5);
+            let raw = encode_request(&req);
+            prop_assert!(raw.contains("\"f64le\":\""), "{raw}");
+            let got = decode_request(&raw).unwrap();
+            prop_assert_eq!(bits_of(&got), bits_of(&req));
+            let (_, InputValue::Matrix { rows: r, cols: c, .. }) = &got.inputs[0] else {
+                panic!("matrix input decoded as {:?}", got.inputs[0]);
+            };
+            prop_assert_eq!((*r, *c), (rows, cols));
+        }
+
+        /// Every byte string has one base64 encoding, and it decodes back.
+        #[test]
+        fn base64_round_trips_every_length(bytes in proptest::collection::vec(0u8..=255, 0..40)) {
+            let mut s = String::new();
+            base64_encode(&bytes, &mut s);
+            prop_assert_eq!(s.len(), bytes.len().div_ceil(3) * 4);
+            prop_assert_eq!(base64_decode(&s).unwrap(), bytes);
+        }
+    }
+
+    #[test]
+    fn decimal_and_slab_forms_decode_to_equal_requests() {
+        let data = vec![1.5, -0.25, 1e-300, 3.0, 0.1, -0.0];
+        let req = Request::score("acme", "W %*% x").matrix("W", 2, 3, data.clone()).batched();
+        let slab = encode_request(&req);
+        let decimal = format!(
+            "{{\"tenant\":\"acme\",\"program\":\"W %*% x\",\"batch\":true,\
+             \"inputs\":{{\"W\":{{\"rows\":2,\"cols\":3,\"data\":{}}}}}}}",
+            fmt_data(&data)
+        );
+        let (a, b) = (decode_request(&slab).unwrap(), decode_request(&decimal).unwrap());
+        assert_eq!(a, req);
+        assert_eq!(b, req);
+        assert_eq!(bits_of(&a), bits_of(&b), "-0.0 keeps its sign in both forms");
+    }
+
+    #[test]
+    fn base64_matches_the_standard_alphabet() {
+        for (raw, enc) in [
+            (&b""[..], ""),
+            (b"f", "Zg=="),
+            (b"fo", "Zm8="),
+            (b"foo", "Zm9v"),
+            (b"foob", "Zm9vYg=="),
+            (b"\xfb\xff\xbf", "+/+/"),
+        ] {
+            let mut s = String::new();
+            base64_encode(raw, &mut s);
+            assert_eq!(s, enc);
+            assert_eq!(base64_decode(enc).unwrap(), raw);
+        }
+    }
+
+    #[test]
+    fn malformed_slabs_are_rejected() {
+        let with = |input: &str| format!("{{\"tenant\":\"t\",\"inputs\":{{\"X\":{input}}}}}");
+        // One f64 (1.0) is "AAAAAAAA8D8=".
+        assert!(decode_request(&with("{\"rows\":1,\"cols\":1,\"f64le\":\"AAAAAAAA8D8=\"}")).is_ok());
+        for (input, why) in [
+            ("{\"rows\":1,\"cols\":1,\"f64le\":\"AAAAAAA*8D8=\"}", "bad character"),
+            ("{\"rows\":1,\"cols\":1,\"f64le\":\"AAAAAAAA8D8\"}", "length not a multiple of 4"),
+            ("{\"rows\":1,\"cols\":1,\"f64le\":\"AAAAAAAA8D==\"}", "padding drops set bits"),
+            ("{\"rows\":1,\"cols\":1,\"f64le\":\"AAAAAAAA8D8=AAAA\"}", "padding mid-string"),
+            ("{\"rows\":1,\"cols\":1,\"f64le\":\"AAAAAAAA8===\"}", "three pad characters"),
+            ("{\"rows\":1,\"cols\":1,\"f64le\":\"AAAAAAAA\"}", "6 bytes, not a multiple of 8"),
+            ("{\"rows\":2,\"cols\":1,\"f64le\":\"AAAAAAAA8D8=\"}", "length != rows*cols"),
+            ("{\"rows\":4294967296,\"cols\":4294967296,\"f64le\":\"\"}", "overflowing dims"),
+            ("{\"rows\":1,\"cols\":1,\"f64le\":[1]}", "f64le not a string"),
+            ("{\"rows\":1,\"cols\":1,\"f64le\":7}", "f64le a number"),
+            ("{\"rows\":1,\"cols\":1,\"data\":[1],\"f64le\":\"AAAAAAAA8D8=\"}", "both forms"),
+            ("{\"rows\":1,\"cols\":1}", "neither form"),
+        ] {
+            assert!(decode_request(&with(input)).is_err(), "{why}: {input}");
+        }
     }
 }

@@ -30,8 +30,8 @@
 
 use crate::batch::{Batcher, Joined};
 use crate::protocol::{
-    decode_request, encode_response_with_rid, read_frame, write_frame, Cmd, InputValue, Request,
-    Response, ScoreResult,
+    decode_request, encode_response_with_rid, extend_le_bytes, read_frame, write_frame, Cmd,
+    InputValue, Request, Response, ScoreResult,
 };
 use dm_buffer::policy::PolicyKind;
 use dm_buffer::session::SessionLedger;
@@ -822,13 +822,17 @@ fn batchable_input(prog: &CompiledProgram) -> Option<String> {
     (uses == 1).then(|| name.clone())
 }
 
-/// FNV-1a over the group guard bytes (the batcher verifies the full bytes
-/// on join, so a collision only costs a solo execution).
+/// FNV-1a over the group guard bytes, one 8-byte word per step (the
+/// batcher verifies the full bytes on join, so a collision only costs a
+/// solo execution).
 fn guard_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut words = bytes.chunks_exact(8);
+    let mut h = (&mut words).fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ u64::from_le_bytes(w.try_into().expect("8 bytes"))).wrapping_mul(PRIME)
+    });
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
     }
     h
 }
@@ -881,9 +885,7 @@ fn try_batched(
             InputValue::Matrix { rows, cols, data } => {
                 guard.extend_from_slice(&rows.to_le_bytes());
                 guard.extend_from_slice(&cols.to_le_bytes());
-                for x in data {
-                    guard.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
+                extend_le_bytes(&mut guard, data);
             }
             InputValue::Scalar(x) => {
                 guard.extend_from_slice(&[0xfd]);
@@ -894,7 +896,7 @@ fn try_batched(
     let gkey = guard_hash(&guard);
     let m = *rows;
     let reg = shared.registry.as_ref();
-    match shared.batcher.join(gkey, &guard, data.clone()) {
+    match shared.batcher.join(gkey, guard, data.clone()) {
         Joined::Solo(col) => {
             // Group was full or guarded against us: run the same column
             // individually.

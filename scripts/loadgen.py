@@ -36,6 +36,7 @@ Usage:
 """
 
 import argparse
+import base64
 import json
 import os
 import socket
@@ -71,6 +72,11 @@ def recv_frame(sock: socket.socket) -> str:
     return body.decode("utf-8")
 
 
+def f64le_slab(values) -> str:
+    """The `f64le` input form: base64 of the little-endian f64 bytes."""
+    return base64.b64encode(struct.pack("<%dd" % len(values), *values)).decode("ascii")
+
+
 def score_request(tenant: str, seq: int, batch: bool) -> dict:
     """Alternate two size classes of the same program: even sequence
     numbers share one plan-cache entry, odd ones another. In batch mode
@@ -78,17 +84,25 @@ def score_request(tenant: str, seq: int, batch: bool) -> dict:
     what the server's micro-batcher coalesces — and the model matrix X
     depends only on the sequence number, so concurrent tenants at the
     same sequence share bit-identical context and may land in one gemm.
+
+    X travels as an `f64le` slab on odd sequence numbers and as a decimal
+    `data` array on even ones, so every run exercises both input forms.
     """
     n = 64 if seq % 2 == 0 else 192
     d = 8
     x = [((i * 13 + seq * 7) % 23) * 0.31 - 2.0 for i in range(n * d)]
     v = [((i * 5 + seq) % 11) * 0.17 - 0.6 for i in range(d)]
+    x_input = {"rows": n, "cols": d}
+    if seq % 2:
+        x_input["f64le"] = f64le_slab(x)
+    else:
+        x_input["data"] = x
     req = {
         "tenant": tenant,
         "cmd": "score",
         "program": "X %*% v" if batch else "t(X) %*% (X %*% v)",
         "inputs": {
-            "X": {"rows": n, "cols": d, "data": x},
+            "X": x_input,
             "v": {"rows": d, "cols": 1, "data": v},
         },
     }

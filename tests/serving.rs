@@ -13,6 +13,7 @@ use dmml::lang::size::InputSizes;
 use dmml::matrix::{Dense, Matrix};
 use dmml::obs::serve::MetricsServer;
 use dmml::obs::StatsRegistry;
+use dmml::serve::protocol::{decode_response, read_frame, write_frame};
 use dmml::serve::{Request, Response, ScoreResult, ScoringClient, ScoringServer, ServeConfig};
 use std::io::{Read as _, Write as _};
 use std::sync::Arc;
@@ -235,5 +236,58 @@ fn batched_scoring_matches_direct_evaluation() {
             );
         }
     }
+    server.shutdown();
+}
+
+/// Both wire forms of an input matrix — the decimal `data` array a
+/// hand-written client sends and the `f64le` slab `ScoringClient` sends —
+/// score bit-identically to direct evaluation.
+#[test]
+fn decimal_and_slab_frames_match_direct_evaluation() {
+    let server =
+        ScoringServer::start(ServeConfig::for_tests(), Arc::new(StatsRegistry::new())).unwrap();
+    let want = direct_eval(3).to_bits();
+
+    let data: Vec<String> = x_data(3).iter().map(|v| format!("{v}")).collect();
+    let raw = format!(
+        "{{\"tenant\":\"plain\",\"program\":\"{PROGRAM}\",\
+         \"inputs\":{{\"X\":{{\"rows\":{N},\"cols\":{D},\"data\":[{}]}}}}}}",
+        data.join(",")
+    );
+    let mut s = std::net::TcpStream::connect(server.addr()).unwrap();
+    write_frame(&mut s, &raw).unwrap();
+    let resp = decode_response(&read_frame(&mut s).unwrap().unwrap()).unwrap();
+    let Response::Score { result: ScoreResult::Scalar(got), .. } = resp else {
+        panic!("decimal frame: expected scalar score, got {resp:?}");
+    };
+    assert_eq!(got.to_bits(), want, "decimal-form input changed the result");
+    drop(s);
+
+    let mut c = ScoringClient::connect(server.addr()).unwrap();
+    let Ok(ScoreResult::Scalar(got)) = c.score(&score_req("slab", 3)) else {
+        panic!("slab request: expected scalar score");
+    };
+    assert_eq!(got.to_bits(), want, "slab-form input changed the result");
+    drop(c);
+    server.shutdown();
+}
+
+/// A hostile frame: a 16 MiB `tenant` string. JSON string parsing is
+/// linear, so the request is rejected in proportion to its size and the
+/// connection (and server) keep serving.
+#[test]
+fn huge_tenant_string_is_rejected_and_server_keeps_serving() {
+    let server =
+        ScoringServer::start(ServeConfig::for_tests(), Arc::new(StatsRegistry::new())).unwrap();
+    let mut c = ScoringClient::connect(server.addr()).unwrap();
+    let tenant = "a".repeat(16 << 20);
+    let resp = c.request(&Request::score(&tenant, PROGRAM).matrix("X", N, D, x_data(1))).unwrap();
+    assert_eq!(resp, Response::Error { error: "invalid tenant name".to_owned() });
+
+    let Ok(ScoreResult::Scalar(got)) = c.score(&score_req("acme", 1)) else {
+        panic!("server stopped serving after the hostile frame");
+    };
+    assert_eq!(got.to_bits(), direct_eval(1).to_bits());
+    drop(c);
     server.shutdown();
 }
