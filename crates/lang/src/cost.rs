@@ -11,17 +11,17 @@
 //! estimates into *nanoseconds*, dividing by the measured GFLOP/s where
 //! enough samples exist and falling back to the static
 //! [`STATIC_GFLOPS`] assumption where they don't. The calibrated figures
-//! feed [`plan_with_profile`](crate::physical::plan_with_profile) (a
-//! measured serial-vs-parallel crossover replacing the fixed
-//! [`PAR_FLOP_THRESHOLD`](crate::physical::PAR_FLOP_THRESHOLD)),
-//! [`explain_with_profile`](crate::explain::explain_with_profile), and the
-//! analyzer's H204 staleness hint.
+//! feed [`plan_with_memory_profile`](crate::physical::plan_with_memory_profile)
+//! (a measured serial-vs-parallel crossover replacing the fixed
+//! [`PAR_FLOP_THRESHOLD`](crate::physical::PAR_FLOP_THRESHOLD)), the cost
+//! table of [`explain`](crate::explain::explain), and the analyzer's H204
+//! staleness hint.
 //!
 //! Closing the loop end to end:
 //!
 //! ```
 //! use dm_lang::{cost::CostModel, exec::{Env, Executor}, parser, physical};
-//! use dm_lang::size::InputSizes;
+//! use dm_lang::{memory::MemoryBudget, size::{propagate, InputSizes}};
 //! use dm_matrix::{Dense, Matrix};
 //!
 //! let (g, root) = parser::parse("sum(t(X) %*% X)").unwrap();
@@ -40,7 +40,9 @@
 //!
 //! // Calibrate + re-cost: the model turns flops into observed nanoseconds.
 //! let model = CostModel::new(store);
-//! let plan = physical::plan_with_inputs(&g, root, &sizes).unwrap();
+//! let infos = propagate(&g, root, &sizes).unwrap();
+//! let plan =
+//!     physical::plan_with_memory_profile(&g, root, &infos, 1, MemoryBudget::unbounded(), &model);
 //! let calibrated = dm_lang::cost::calibrated_cost(&g, root, &sizes, &plan, &model).unwrap();
 //! assert!(calibrated > 0);
 //! ```
@@ -71,7 +73,8 @@ pub struct CostModel {
 
 /// Per-node cost breakdown: the flop estimate and its static and calibrated
 /// nanosecond prices. Produced by [`node_costs`]; rendered by
-/// [`explain_with_profile`](crate::explain::explain_with_profile).
+/// [`explain`](crate::explain::explain) and
+/// [`profile_report`](crate::explain::profile_report).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeCost {
     /// Estimated flops ([`node_flops`]).
@@ -234,7 +237,8 @@ pub fn calibrated_cost(
 mod tests {
     use super::*;
     use crate::expr::AggOp;
-    use crate::physical::{plan_with_inputs, plan_with_inputs_degree};
+    use crate::memory::MemoryBudget;
+    use crate::physical::test_plan;
 
     fn glm() -> (Graph, NodeId, InputSizes) {
         let mut g = Graph::new();
@@ -260,7 +264,7 @@ mod tests {
     #[test]
     fn empty_model_prices_exactly_static() {
         let (g, root, sizes) = glm();
-        let plan = plan_with_inputs(&g, root, &sizes).unwrap();
+        let plan = test_plan(&g, root, &sizes, 1, MemoryBudget::unbounded());
         let model = CostModel::default();
         let cal = calibrated_cost(&g, root, &sizes, &plan, &model).unwrap();
         let est = crate::rewrite::estimated_cost(&g, root, &sizes).unwrap();
@@ -270,7 +274,7 @@ mod tests {
     #[test]
     fn calibration_divides_by_observed_throughput() {
         let (g, root, sizes) = glm();
-        let plan = plan_with_inputs(&g, root, &sizes).unwrap();
+        let plan = test_plan(&g, root, &sizes, 1, MemoryBudget::unbounded());
         let infos = propagate(&g, root, &sizes).unwrap();
         // crossprod on 1000x20: 2 * 20000 * 20 = 800_000 flops, fused family.
         let cp_flops = 800_000u64;
@@ -294,7 +298,7 @@ mod tests {
     #[test]
     fn below_min_samples_falls_back_to_static() {
         let (g, root, sizes) = glm();
-        let plan = plan_with_inputs(&g, root, &sizes).unwrap();
+        let plan = test_plan(&g, root, &sizes, 1, MemoryBudget::unbounded());
         let model = CostModel::new(store_with("crossprod", "fused", 800_000, 4.0, 2));
         let cal = calibrated_cost(&g, root, &sizes, &plan, &model).unwrap();
         let est = crate::rewrite::estimated_cost(&g, root, &sizes).unwrap();
@@ -308,14 +312,14 @@ mod tests {
             Op::Agg(_, c) => *c,
             _ => unreachable!(),
         };
-        let serial = plan_with_inputs(&g, root, &sizes).unwrap();
+        let serial = test_plan(&g, root, &sizes, 1, MemoryBudget::unbounded());
         assert_eq!(node_family(&g, cp, &serial), "fused");
         assert_eq!(node_family(&g, root, &serial), "dense");
 
         // At degree 4 with a big input, crossprod plans parallel.
         let mut big = InputSizes::new();
         big.declare("X", 100_000, 200, 1.0);
-        let par = plan_with_inputs_degree(&g, root, &big, 4).unwrap();
+        let par = test_plan(&g, root, &big, 4, MemoryBudget::unbounded());
         assert_eq!(node_family(&g, cp, &par), "parallel");
     }
 

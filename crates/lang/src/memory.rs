@@ -11,13 +11,13 @@
 //! The budget comes from one of two places, in precedence order:
 //!
 //! 1. An explicit API value — [`MemoryBudget::bytes`] passed to
-//!    [`plan_with_memory`](crate::physical::plan_with_memory) or
+//!    [`plan_with_memory_profile`](crate::physical::plan_with_memory_profile),
+//!    [`compile`](crate::cache::compile), or
 //!    [`Executor::with_memory_budget`](crate::exec::Executor::with_memory_budget).
-//! 2. The `DMML_MEM_BUDGET` environment variable (read by
-//!    [`MemoryBudget::from_env`] and
-//!    [`plan_with_inputs_auto`](crate::physical::plan_with_inputs_auto)),
-//!    accepting a byte count with an optional binary suffix: `67108864`,
-//!    `64m`, `1g`, `512k`.
+//! 2. The `DMML_MEM_BUDGET` environment variable, read by
+//!    [`MemoryBudget::from_env`] (which the scoring server's
+//!    `ServeConfig::from_env` calls), accepting a byte count with an
+//!    optional binary suffix: `67108864`, `64m`, `1g`, `512k`.
 //!
 //! With neither set, execution is unbounded and nothing goes out-of-core.
 //!

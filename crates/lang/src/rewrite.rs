@@ -378,7 +378,9 @@ pub fn optimize_traced_calibrated(
 ) -> Result<(Graph, NodeId, RewriteTrace), SizeError> {
     let (g, new_root, mut trace) = optimize_traced(graph, root, sizes)?;
     let price = |gr: &Graph, rt: NodeId| -> Option<u128> {
-        let plan = crate::physical::plan_with_inputs(gr, rt, sizes).ok()?;
+        let infos = crate::size::propagate(gr, rt, sizes).ok()?;
+        let unbounded = crate::memory::MemoryBudget::unbounded();
+        let plan = crate::physical::plan_with_memory_profile(gr, rt, &infos, 1, unbounded, model);
         crate::cost::calibrated_cost(gr, rt, sizes, &plan, model).ok()
     };
     trace.calibrated_before_ns = price(graph, root);

@@ -3,12 +3,13 @@
 //! to the unbounded in-memory executor, leave the spill pool audit-clean, and
 //! honor the `DMML_MEM_BUDGET` environment variable.
 
+use dm_lang::cost::CostModel;
 use dm_lang::exec::{Env, ExecError, Executor, KernelChoice, Val};
-use dm_lang::explain::{explain_with_memory, profile_report_with_spill};
+use dm_lang::explain::{explain, profile_report};
 use dm_lang::expr::{AggOp, EwiseOp, Graph, NodeId};
 use dm_lang::memory::MemoryBudget;
-use dm_lang::physical::{plan_with_inputs_memory, Kernel};
-use dm_lang::size::InputSizes;
+use dm_lang::physical::{plan_with_memory_profile, Kernel, PhysicalPlan};
+use dm_lang::size::{propagate, InputSizes};
 use dm_matrix::{Dense, Matrix};
 use proptest::prelude::*;
 
@@ -22,6 +23,19 @@ struct Program {
     cs: NodeId,
     cp: NodeId,
     root: NodeId,
+}
+
+/// Propagate `sizes`, then plan at `degree` under `budget` with an empty
+/// cost model.
+fn plan_for(
+    g: &Graph,
+    root: NodeId,
+    sizes: &InputSizes,
+    degree: usize,
+    budget: MemoryBudget,
+) -> PhysicalPlan {
+    let infos = propagate(g, root, sizes).unwrap();
+    plan_with_memory_profile(g, root, &infos, degree, budget, &CostModel::default())
 }
 
 fn program() -> Program {
@@ -89,9 +103,7 @@ proptest! {
         let mut in_mem = Executor::new(&p.graph);
         let expect = in_mem.eval(p.root, &env).unwrap();
 
-        let plan =
-            plan_with_inputs_memory(&p.graph, p.root, &sizes, degree, MemoryBudget::bytes(budget))
-                .unwrap();
+        let plan = plan_for(&p.graph, p.root, &sizes, degree, MemoryBudget::bytes(budget));
         for id in [p.y, p.z, p.cs, p.cp] {
             prop_assert_eq!(plan.kernel(id), Kernel::Blocked, "node {} must go out-of-core", id);
         }
@@ -134,7 +146,7 @@ fn blocked_budget_smaller_than_one_tile_is_a_clean_error() {
     env.bind("X", Matrix::Dense(dense_input(2, 4096, 1)));
     let mut sizes = InputSizes::new();
     sizes.declare("X", 2, 4096, 1.0);
-    let plan = plan_with_inputs_memory(&g, z, &sizes, 1, MemoryBudget::bytes(8 << 10)).unwrap();
+    let plan = plan_for(&g, z, &sizes, 1, MemoryBudget::bytes(8 << 10));
     assert_eq!(plan.kernel(z), Kernel::Blocked);
     let mut ex = Executor::with_plan(&g, plan);
     match ex.eval(z, &env) {
@@ -155,30 +167,26 @@ fn explain_and_profile_show_out_of_core_nodes() {
     sizes.declare("B", k, m, 1.0);
     let budget = 8 * (n * k + k * m + 2 * n * m) / 4;
 
-    let txt = explain_with_memory(&p.graph, p.root, &sizes, 2, MemoryBudget::bytes(budget));
+    let infos = propagate(&p.graph, p.root, &sizes).unwrap();
+    let plan = plan_for(&p.graph, p.root, &sizes, 2, MemoryBudget::bytes(budget));
+    let txt = explain(&p.graph, p.root, Some((&infos, &plan)), None);
     assert!(txt.contains("blocked"), "explain must annotate OOC nodes:\n{txt}");
-    // Unbounded budget renders the ordinary degree plan.
-    let unbounded = explain_with_memory(&p.graph, p.root, &sizes, 2, MemoryBudget::unbounded());
+    assert!(txt.contains("memory certificate"), "{txt}");
+    // An unbounded plan renders the ordinary degree plan.
+    let unbounded = plan_for(&p.graph, p.root, &sizes, 2, MemoryBudget::unbounded());
+    let unbounded = explain(&p.graph, p.root, Some((&infos, &unbounded)), None);
     assert!(!unbounded.contains("blocked"), "{unbounded}");
 
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(dense_input(n, k, 3)));
     env.bind("B", Matrix::Dense(dense_input(k, m, 11)));
-    let plan =
-        plan_with_inputs_memory(&p.graph, p.root, &sizes, 2, MemoryBudget::bytes(budget)).unwrap();
     let mut ex = Executor::with_plan(&p.graph, plan).profiled();
     ex.eval(p.root, &env).unwrap();
     assert_eq!(ex.profile().unwrap().node(p.y).unwrap().kernel, Some(KernelChoice::Blocked));
 
     let spill = ex.ooc_pool_stats();
-    let report = profile_report_with_spill(
-        &p.graph,
-        p.root,
-        ex.profile().unwrap(),
-        &sizes,
-        5,
-        spill.as_ref(),
-    );
+    let report =
+        profile_report(&p.graph, p.root, ex.profile().unwrap(), &sizes, 5, spill.as_ref(), None);
     assert!(report.contains("out-of-core kernels: 4 evals"), "{report}");
     assert!(report.contains("spill pool:"), "{report}");
     assert!(report.contains("kernel blocked"), "{report}");
@@ -196,8 +204,7 @@ fn record_stats_forwards_spill_counters() {
     sizes.declare("X", n, k, 1.0);
     sizes.declare("B", k, m, 1.0);
     let budget = 8 * (n * k + k * m + 2 * n * m) / 4;
-    let plan =
-        plan_with_inputs_memory(&p.graph, p.root, &sizes, 1, MemoryBudget::bytes(budget)).unwrap();
+    let plan = plan_for(&p.graph, p.root, &sizes, 1, MemoryBudget::bytes(budget));
     let mut ex = Executor::with_plan(&p.graph, plan);
     ex.eval(p.root, &env).unwrap();
     let reg = StatsRegistry::new();
@@ -209,30 +216,34 @@ fn record_stats_forwards_spill_counters() {
     assert!(rep.counter("lang.exec.ooc.evictions").unwrap_or(0) > 0);
 }
 
-/// `DMML_MEM_BUDGET` drives `plan_with_inputs_auto`, with the explicit API
-/// taking precedence. This test owns the env var: nothing else in this
-/// process reads it concurrently.
+/// `DMML_MEM_BUDGET` fills `MemoryBudget::from_env`, and a plan built
+/// under that budget goes out-of-core, with an explicit API budget taking
+/// precedence. This test owns the env var: nothing else in this process
+/// reads it concurrently.
 #[test]
-fn mem_budget_env_var_drives_auto_planning() {
+fn mem_budget_env_var_fills_from_env() {
     let p = program();
     let mut sizes = InputSizes::new();
     sizes.declare("X", 4096, 512, 1.0); // 16 MB
     sizes.declare("B", 512, 1024, 1.0);
     std::env::set_var(dm_lang::MEM_BUDGET_ENV, "1m");
-    let auto = dm_lang::physical::plan_with_inputs_auto(&p.graph, p.root, &sizes).unwrap();
+    let from_env = MemoryBudget::from_env();
     std::env::remove_var(dm_lang::MEM_BUDGET_ENV);
-    assert_eq!(auto.kernel(p.y), Kernel::Blocked);
-    assert_eq!(auto.mem_budget(), Some(1 << 20));
+    assert_eq!(from_env.get(), Some(1 << 20));
+    let env_plan = plan_for(&p.graph, p.root, &sizes, 1, from_env);
+    assert_eq!(env_plan.kernel(p.y), Kernel::Blocked);
+    assert_eq!(env_plan.mem_budget(), Some(1 << 20));
 
-    // Unset: auto planning stays unbounded.
-    let auto = dm_lang::physical::plan_with_inputs_auto(&p.graph, p.root, &sizes).unwrap();
-    assert_eq!(auto.mem_budget(), None);
-    assert_ne!(auto.kernel(p.y), Kernel::Blocked);
+    // Unset: the environment budget is unbounded.
+    let from_env = MemoryBudget::from_env();
+    assert!(from_env.is_unbounded());
+    let env_plan = plan_for(&p.graph, p.root, &sizes, 1, from_env);
+    assert_eq!(env_plan.mem_budget(), None);
+    assert_ne!(env_plan.kernel(p.y), Kernel::Blocked);
 
     // Explicit API beats whatever the environment says.
     std::env::set_var(dm_lang::MEM_BUDGET_ENV, "1m");
-    let explicit =
-        plan_with_inputs_memory(&p.graph, p.root, &sizes, 1, MemoryBudget::unbounded()).unwrap();
+    let explicit = plan_for(&p.graph, p.root, &sizes, 1, MemoryBudget::unbounded());
     std::env::remove_var(dm_lang::MEM_BUDGET_ENV);
     assert_eq!(explicit.mem_budget(), None);
     assert_ne!(explicit.kernel(p.y), Kernel::Blocked);

@@ -65,7 +65,10 @@ fn main() {
     let mut sparse_sizes = InputSizes::new();
     sparse_sizes.declare("S", n, d, 0.02);
     sparse_sizes.declare("w", d, 1, 1.0);
-    let plan = physical::plan_with_inputs(&g2, r2, &sparse_sizes).expect("plans");
+    let infos = dmml::lang::size::propagate(&g2, r2, &sparse_sizes).expect("sizes propagate");
+    let unbounded = dmml::lang::MemoryBudget::unbounded();
+    let static_model = dmml::lang::CostModel::default();
+    let plan = physical::plan_with_memory_profile(&g2, r2, &infos, 1, unbounded, &static_model);
     for id in g2.reachable(r2) {
         println!("node {id} ({}) -> {:?}", g2.render(id), plan.kernel(id));
     }

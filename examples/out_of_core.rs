@@ -17,8 +17,8 @@
 use dmml::buffer::{ooc, panel_rows_for, BlockStore, BufferPool, SharedBufferPool};
 use dmml::buffer::{policy::PolicyKind, storage::FileStore};
 use dmml::lang::{
-    exec::Env, explain_with_memory, parser, physical::plan_with_inputs_memory,
-    profile_report_with_spill, size::InputSizes, Executor, MemoryBudget,
+    exec::Env, explain, parser, physical::plan_with_memory_profile, profile_report,
+    size::InputSizes, CostModel, Executor, MemoryBudget,
 };
 use dmml::matrix::{ops, Matrix};
 
@@ -72,10 +72,11 @@ fn main() {
     let mut sizes = InputSizes::new();
     sizes.declare("X", x.rows(), x.cols(), 1.0);
     let budget = MemoryBudget::bytes(1 << 20); // 1 MiB; X alone is 4 MiB
-    println!("executor plan under a {budget} budget (set DMML_MEM_BUDGET for the same effect):");
-    println!("{}", explain_with_memory(&graph, root, &sizes, 2, budget));
+    println!("executor plan under a {budget} budget (a server reads it from DMML_MEM_BUDGET):");
+    let infos = dmml::lang::size::propagate(&graph, root, &sizes).unwrap();
+    let plan = plan_with_memory_profile(&graph, root, &infos, 2, budget, &CostModel::default());
+    println!("{}", explain(&graph, root, Some((&infos, &plan)), None));
 
-    let plan = plan_with_inputs_memory(&graph, root, &sizes, 2, budget).unwrap();
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(x.clone()));
     let mut exec = Executor::with_plan(&graph, plan).profiled();
@@ -90,6 +91,6 @@ fn main() {
     let spill = exec.ooc_pool_stats();
     println!(
         "{}",
-        profile_report_with_spill(&graph, root, exec.profile().unwrap(), &sizes, 5, spill.as_ref())
+        profile_report(&graph, root, exec.profile().unwrap(), &sizes, 5, spill.as_ref(), None)
     );
 }

@@ -16,7 +16,7 @@
 //! a scraper can fetch.
 
 use dmml::lang::{
-    exec::Env, explain_with_memory, parser, physical::plan_with_inputs_memory, size::InputSizes,
+    exec::Env, explain, parser, physical::plan_with_memory_profile, size::InputSizes, CostModel,
     Executor, MemoryBudget,
 };
 use dmml::matrix::Matrix;
@@ -53,9 +53,10 @@ fn main() {
     // exceeds the budget and is planned blocked, so the pool must spill.
     let budget = MemoryBudget::bytes(8 * x.rows() * x.cols() / 2);
     println!("degree 4, budget {budget} (50% of the input matrix):");
-    println!("{}", explain_with_memory(&graph, root, &sizes, 4, budget));
+    let infos = dmml::lang::size::propagate(&graph, root, &sizes).unwrap();
+    let plan = plan_with_memory_profile(&graph, root, &infos, 4, budget, &CostModel::default());
+    println!("{}", explain(&graph, root, Some((&infos, &plan)), None));
 
-    let plan = plan_with_inputs_memory(&graph, root, &sizes, 4, budget).unwrap();
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(x));
     let mut exec = Executor::with_plan(&graph, plan).profiled().traced();

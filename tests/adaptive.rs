@@ -1,13 +1,14 @@
 //! End-to-end acceptance of the adaptive cost feedback loop (ISSUE 7):
 //! observe (profiled execution → persisted kernel profiles), calibrate
 //! (`CostModel` over the persisted store), re-cost (`calibrated_cost`,
-//! `plan_with_profile`) — with results bit-identical to the uncalibrated
+//! `plan_with_memory_profile`) — with results bit-identical to the uncalibrated
 //! plan — plus the live `/metrics` scrape endpoint serving the run's
 //! `lang.exec.node_self_ns` quantiles.
 
 use dm_lang::cost::{static_ns, CostModel};
 use dm_lang::exec::{Env, Executor};
-use dm_lang::physical::{plan_with_inputs_degree, plan_with_inputs_profile};
+use dm_lang::memory::MemoryBudget;
+use dm_lang::physical::{plan_with_memory_profile, PhysicalPlan};
 use dm_lang::size::InputSizes;
 use dm_lang::{estimated_cost, parser};
 use dm_matrix::{Dense, Matrix};
@@ -19,6 +20,17 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 const SCRIPT: &str = "sum(t(X) %*% (X + X))";
+
+/// Propagate `sizes`, then plan at degree 2, unbounded, with `model`.
+fn plan_at_degree_2(
+    graph: &dm_lang::Graph,
+    root: dm_lang::NodeId,
+    sizes: &InputSizes,
+    model: &CostModel,
+) -> PhysicalPlan {
+    let infos = dm_lang::size::propagate(graph, root, sizes).unwrap();
+    plan_with_memory_profile(graph, root, &infos, 2, MemoryBudget::unbounded(), model)
+}
 
 fn workload() -> (dm_lang::Graph, dm_lang::NodeId, InputSizes, Env) {
     let (graph, root) = parser::parse(SCRIPT).unwrap();
@@ -48,7 +60,7 @@ fn second_run_loads_profiles_and_recosts_without_changing_results() {
     // --- Run 1: observe. Explicit APIs rather than DMML_PROFILE_DIR (env
     // vars are process-global and these tests run in parallel); the env
     // wiring is covered by `env_profile_dir_saves_on_drop`.
-    let plan = plan_with_inputs_degree(&graph, root, &sizes, 2).unwrap();
+    let plan = plan_at_degree_2(&graph, root, &sizes, &CostModel::default());
     let mut store = ProfileStore::new();
     let baseline = {
         let mut first = None;
@@ -67,7 +79,7 @@ fn second_run_loads_profiles_and_recosts_without_changing_results() {
     // --- Run 2: calibrate + re-cost from the persisted store.
     let model = CostModel::load(&dir).unwrap();
     assert!(!model.is_empty(), "second run sees the persisted profile");
-    let plan2 = plan_with_inputs_profile(&graph, root, &sizes, 2, &model).unwrap();
+    let plan2 = plan_at_degree_2(&graph, root, &sizes, &model);
     let calibrated = dm_lang::calibrated_cost(&graph, root, &sizes, &plan2, &model).unwrap();
     let est = estimated_cost(&graph, root, &sizes).unwrap();
     assert_ne!(
@@ -147,7 +159,7 @@ fn corrupt_profiles_degrade_to_the_static_model() {
     // Degradation: the empty model prices exactly static, and planning
     // still works — no panic anywhere on the path.
     let model = CostModel::default();
-    let plan = plan_with_inputs_profile(&graph, root, &sizes, 2, &model).unwrap();
+    let plan = plan_at_degree_2(&graph, root, &sizes, &model);
     let cal = dm_lang::calibrated_cost(&graph, root, &sizes, &plan, &model).unwrap();
     assert_eq!(cal, static_ns(estimated_cost(&graph, root, &sizes).unwrap()));
 

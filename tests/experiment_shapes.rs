@@ -245,7 +245,10 @@ fn e6_sparse_work_proportional_to_nnz() {
     let mut sizes = InputSizes::new();
     sizes.declare("S", n, d, 0.02);
     sizes.declare("w", d, 1, 1.0);
-    let plan = physical::plan_with_inputs(&g, root, &sizes).unwrap();
+    let infos = dmml::lang::size::propagate(&g, root, &sizes).unwrap();
+    let unbounded = dmml::lang::MemoryBudget::unbounded();
+    let model = dmml::lang::CostModel::default();
+    let plan = physical::plan_with_memory_profile(&g, root, &infos, 1, unbounded, &model);
 
     let mut env = Env::new();
     env.bind("S", Matrix::Dense(sparse.clone()));

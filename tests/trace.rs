@@ -5,7 +5,8 @@
 //! thread.
 
 use dmml::lang::{
-    exec::Env, parser, physical::plan_with_inputs_memory, size::InputSizes, Executor, MemoryBudget,
+    cost::CostModel, exec::Env, parser, physical::plan_with_memory_profile, size, size::InputSizes,
+    Executor, MemoryBudget,
 };
 use dmml::matrix::Matrix;
 use dmml::obs::{json, trace};
@@ -29,7 +30,8 @@ fn traced_run_covers_exec_par_and_buffer_on_one_timeline() {
     // 50% of the input: X-sized operands overflow the budget, forcing
     // blocked kernels and pool spills.
     let budget = MemoryBudget::bytes(8 * x.rows() * x.cols() / 2);
-    let plan = plan_with_inputs_memory(&graph, root, &sizes, 4, budget).unwrap();
+    let infos = size::propagate(&graph, root, &sizes).unwrap();
+    let plan = plan_with_memory_profile(&graph, root, &infos, 4, budget, &CostModel::default());
 
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(x));
