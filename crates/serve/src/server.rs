@@ -50,11 +50,11 @@ use dm_obs::profile::ProfileStore;
 use dm_obs::trace::{self, SpanHandle};
 use dm_obs::{Recorder, StatsRegistry};
 use dm_par::WorkerPool;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -192,6 +192,48 @@ struct Shared {
     /// sample is measurable at microsecond request latencies.
     phase_hists: [Arc<dm_obs::LogHistogram>; Phase::COUNT],
     latency_hist: Arc<dm_obs::LogHistogram>,
+    /// Connections being served, so shutdown can close their read halves
+    /// instead of waiting out each worker's blocking read.
+    conns: Mutex<Conns>,
+}
+
+/// The live-connection registry behind [`Shared::conns`].
+#[derive(Default)]
+struct Conns {
+    /// Set by the shutdown sweep; a connection registering afterwards is
+    /// refused, so one accepted during shutdown is closed too.
+    closed: bool,
+    next_id: u64,
+    streams: HashMap<u64, TcpStream>,
+}
+
+/// A registered connection; dropping it deregisters the stream.
+struct LiveConn<'a> {
+    shared: &'a Shared,
+    id: u64,
+}
+
+impl<'a> LiveConn<'a> {
+    /// Register a clone of `stream`; `None` once shutdown has swept (or
+    /// the clone fails), meaning the caller should drop the connection.
+    fn register(shared: &'a Shared, stream: &TcpStream) -> Option<Self> {
+        let mut c = shared.conns.lock().unwrap_or_else(PoisonError::into_inner);
+        if c.closed {
+            return None;
+        }
+        let clone = stream.try_clone().ok()?;
+        let id = c.next_id;
+        c.next_id += 1;
+        c.streams.insert(id, clone);
+        Some(LiveConn { shared, id })
+    }
+}
+
+impl Drop for LiveConn<'_> {
+    fn drop(&mut self) {
+        let mut c = self.shared.conns.lock().unwrap_or_else(PoisonError::into_inner);
+        c.streams.remove(&self.id);
+    }
 }
 
 /// Everything the request path threads through its phases: the record
@@ -319,6 +361,7 @@ impl ScoringServer {
             model,
             spill_slots: SpillSlots::new(),
             tenants: Mutex::new(BTreeSet::new()),
+            conns: Mutex::new(Conns::default()),
             cfg,
         });
         let stop = Arc::new(AtomicBool::new(false));
@@ -368,8 +411,9 @@ impl ScoringServer {
         &self.shared.ledger
     }
 
-    /// Stop accepting, drain workers, and persist profiles. Idempotent;
-    /// also runs on drop.
+    /// Stop accepting, close the read half of every live connection (a
+    /// request in flight still gets its response), drain workers, and
+    /// persist profiles. Idempotent; also runs on drop.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -377,6 +421,15 @@ impl ScoringServer {
     fn shutdown_inner(&mut self) {
         let Some(handle) = self.accept.take() else { return };
         self.stop.store(true, Ordering::SeqCst);
+        // Unblock every worker parked in a connection read: the read sees
+        // end-of-stream once the request in flight (if any) is answered.
+        {
+            let mut c = self.shared.conns.lock().unwrap_or_else(PoisonError::into_inner);
+            c.closed = true;
+            for s in c.streams.values() {
+                let _ = s.shutdown(Shutdown::Read);
+            }
+        }
         // Wake the blocking accept() with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         let _ = handle.join();
@@ -430,6 +483,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stop: &AtomicBool) 
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+    let Some(_live) = LiveConn::register(shared, &stream) else { return };
     // An idle or wedged client must not pin a worker forever.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(60)));
@@ -986,6 +1040,17 @@ mod tests {
         let cfg = ServeConfig::for_tests();
         assert!(cfg.workers >= 1);
         assert!(cfg.plan_cache >= 1);
+    }
+
+    #[test]
+    fn config_from_env_reads_the_memory_budget() {
+        // This test owns DMML_MEM_BUDGET: nothing else in this binary reads
+        // it.
+        std::env::set_var(dm_lang::memory::MEM_BUDGET_ENV, "1m");
+        let cfg = ServeConfig::from_env();
+        std::env::remove_var(dm_lang::memory::MEM_BUDGET_ENV);
+        assert_eq!(cfg.budget.get(), Some(1 << 20));
+        assert!(ServeConfig::from_env().budget.is_unbounded());
     }
 
     #[test]
