@@ -8,7 +8,7 @@
 //! a [`RequestRecord`] with its per-phase latency breakdown
 //! ([`Phase`]), plan-cache key and hit/miss, byte counts, kernel summary,
 //! calibrated-vs-actual cost, and its full span buffer (the per-request
-//! slice of the [`trace`](crate::trace) ring), so a Chrome trace of any
+//! slice of the [`trace`] ring), so a Chrome trace of any
 //! recent request can be rendered on demand — no restart, no `DMML_TRACE`.
 //!
 //! Requests slower than the configured threshold (`DMML_SERVE_SLOW_MS`, or a
@@ -309,7 +309,7 @@ impl FlightRecorder {
 
     /// The slow-capture bar in nanoseconds right now: the explicit
     /// threshold when configured, otherwise the observed p99 once
-    /// [`SELF_TUNE_MIN_SAMPLES`] requests have completed (`None` before
+    /// `SELF_TUNE_MIN_SAMPLES` (64) requests have completed (`None` before
     /// that — nothing is slow until there is a distribution to be slow
     /// *against*).
     pub fn slow_threshold_ns(&self) -> Option<u64> {
